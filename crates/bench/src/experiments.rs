@@ -784,7 +784,12 @@ pub fn serve_throughput(cfg: &ExpConfig) {
     std::fs::create_dir_all(&store_dir).expect("mkdir cold store");
     {
         let store = Store::open(&store_dir).expect("open cold store");
-        let values: Vec<f64> = (0..cold_rows).map(|i| (i % 97) as f64).collect();
+        // The fraction sets the low mantissa bit of about half the
+        // values, so both halves of the fused kernel are folded
+        // (integers alone all have even parity).
+        let values: Vec<f64> = (0..cold_rows)
+            .map(|i| (i % 97) as f64 + (i % 89) as f64 / 89.0)
+            .collect();
         let columns = vec![("v".to_string(), values)];
         store
             .ingest("cold", &columns, &IngestOptions::default())

@@ -121,10 +121,17 @@ impl<T: Data, Acc: Data, Out: DpOutput> MapReduceQuery<T, Acc, Out> {
     /// exactly as the generic composition would — for each record in
     /// order, pick half `h` as `half_key(x) % 2` (or `phys_half` when
     /// the query has no half key), then fold `map(x)` into `acc[h]`
-    /// with `reduce` as a left fold. Same operations, same order:
-    /// bit-identical floating-point results. A kernel that disagrees
-    /// silently changes released values, so pair every kernel with an
-    /// equivalence test against [`MapReduceQuery::fold_run_generic`].
+    /// with `reduce` as a left fold. Only the order *within* a half is
+    /// fixed: the two halves' folds are independent, so a kernel may
+    /// route records by half and interleave the two chains (the
+    /// server's sum/mean/count kernel walks a 64-record parity mask
+    /// and keeps both sums in registers), and may replace repeated
+    /// adds by one add where that is exact. Same operations per half,
+    /// same order per half: bit-identical floating-point results, up to
+    /// the sign and payload of a NaN, which Rust leaves unspecified. A
+    /// kernel that disagrees silently changes released values, so pair
+    /// every kernel with an equivalence test against
+    /// [`MapReduceQuery::fold_run_generic`].
     pub fn with_slice_fold(
         mut self,
         kernel: impl Fn(&[T], usize, &mut [Option<Acc>; 2]) + Send + Sync + 'static,

@@ -11,9 +11,9 @@
 //! [`QueryAudit::render`] path as local ones — `upa-cli --stats` output
 //! is byte-identical whether the query ran in-process or over the wire.
 
+use crate::agg::AggKind;
 use crate::obs::TraceRecord;
 use crate::proto::{DatasetsReply, ErrorCode, MetricsReply, Request, Response, StatsReply};
-use crate::state::AggKind;
 use crate::state::AttachOutcome;
 use crate::wire;
 use std::io::{self, BufRead, BufReader, Write};

@@ -17,6 +17,9 @@
 //!   releases are zero-stage and skip the scheduler entirely — the
 //!   zero-queue fast path), and lock-free sharded budget accounting
 //!   ([`state::AtomicBudget`]);
+//! * [`agg`] — the served count/sum/mean aggregates as Map/Reduce
+//!   queries, and the parity-routed fused kernel their columnar scans
+//!   fold through;
 //! * [`ledger::Ledger`] — the append-only, checksummed,
 //!   fsync-before-release spend log that makes budget accounting
 //!   survive `SIGKILL`, fronted by the group-committing
@@ -38,6 +41,7 @@
 //! tests (SIGKILL crash-recovery, saturation) and wrapped by
 //! `upa-cli serve`.
 
+pub mod agg;
 pub mod client;
 pub mod ledger;
 pub mod obs;
@@ -47,6 +51,7 @@ pub mod server;
 pub mod state;
 pub mod wire;
 
+pub use agg::AggKind;
 pub use client::{BudgetReply, Client, ClientBuilder, ClientError, PrepareReply, ReleaseReply};
 pub use ledger::{GroupCommitLedger, Ledger, LedgerObs, SpendRecord};
 pub use obs::{HistogramSnapshot, Obs, RegistrySnapshot, Trace, TraceRecord, TraceStore};
@@ -57,6 +62,6 @@ pub use proto::{
 pub use sched::{JobOp, JobOutput, SchedStats, Scheduler, SchedulerHandle};
 pub use server::{Server, ShutdownHandle};
 pub use state::{
-    AggKind, AtomicBudget, AttachOutcome, DatasetInfo, DatasetSpec, ReleaseFault, ServeError,
-    ServerConfig, ServerState,
+    AtomicBudget, AttachOutcome, DatasetInfo, DatasetSpec, ReleaseFault, ServeError, ServerConfig,
+    ServerState,
 };

@@ -9,9 +9,10 @@
 //! protocol (one JSON object per `\n`-terminated line, `"ok"`
 //! discriminating success), so old clients interoperate.
 
+use crate::agg::AggKind;
 use crate::obs::{RegistrySnapshot, TraceRecord};
 use crate::sched::SchedStats;
-use crate::state::{AggKind, AttachOutcome, DatasetInfo, ReleaseOutcome, ServeError};
+use crate::state::{AttachOutcome, DatasetInfo, ReleaseOutcome, ServeError};
 use crate::wire::{self, Json};
 use upa_core::QueryAudit;
 

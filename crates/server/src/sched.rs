@@ -48,8 +48,9 @@
 //! observable behaviour (connection drops without a reply) while the
 //! pool stays healthy.
 
+use crate::agg::AggKind;
 use crate::obs::Trace;
-use crate::state::{AggKind, PreparedAgg, ReleaseOutcome, ServeError, ServerState};
+use crate::state::{PreparedAgg, ReleaseOutcome, ServeError, ServerState};
 use crate::wire::Json;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};

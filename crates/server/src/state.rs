@@ -27,6 +27,7 @@
 //! plus [`ServerState::release_prepared_traced`]) without queueing —
 //! the zero-queue fast path.
 
+use crate::agg::{build_agg_query, AggKind};
 use crate::ledger::{spent_by_dataset, GroupCommitLedger, Ledger, LedgerObs, SpendRecord};
 use crate::obs::{Obs, Trace};
 use crate::proto::ErrorCode;
@@ -40,7 +41,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 use upa_core::domain::{ColumnarEmpiricalSampler, EmpiricalSampler};
-use upa_core::query::MapReduceQuery;
 use upa_core::{PreparedQuery, QueryAudit, Upa, UpaConfig, UpaError};
 use upa_store::{Catalog, IngestOptions, IngestReport, Resident, StoreError};
 
@@ -78,86 +78,6 @@ impl DatasetSpec {
             columns: HashMap::from([("v".to_string(), values)]),
         }
     }
-}
-
-/// The aggregate kinds the protocol serves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AggKind {
-    /// Number of rows.
-    Count,
-    /// Sum of a column.
-    Sum,
-    /// Mean of a column.
-    Mean,
-}
-
-impl AggKind {
-    /// The protocol name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            AggKind::Count => "count",
-            AggKind::Sum => "sum",
-            AggKind::Mean => "mean",
-        }
-    }
-}
-
-impl std::str::FromStr for AggKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "count" => Ok(AggKind::Count),
-            "sum" => Ok(AggKind::Sum),
-            "mean" => Ok(AggKind::Mean),
-            other => Err(format!("unknown query '{other}' (count|sum|mean)")),
-        }
-    }
-}
-
-/// Builds the Map/Reduce decomposition of an aggregate over one numeric
-/// column — the serving-side counterpart of the paper's Table I
-/// operators, with a `(sum, count)` accumulator so `mean` finalizes
-/// without a second pass.
-pub fn build_agg_query(kind: AggKind) -> MapReduceQuery<f64, (f64, f64), f64> {
-    MapReduceQuery::new(
-        kind.as_str(),
-        move |x: &f64| match kind {
-            AggKind::Count => (1.0, 1.0),
-            AggKind::Sum | AggKind::Mean => (*x, 1.0),
-        },
-        |a: &(f64, f64), b: &(f64, f64)| (a.0 + b.0, a.1 + b.1),
-        move |acc: Option<&(f64, f64)>| match (kind, acc) {
-            (_, None) => 0.0,
-            (AggKind::Mean, Some((s, n))) => {
-                if *n > 0.0 {
-                    s / n
-                } else {
-                    0.0
-                }
-            }
-            (_, Some((s, _))) => *s,
-        },
-    )
-    .with_half_key(|x: &f64| x.to_bits())
-    // Fused kernel for the columnar scan: the same half-key / map /
-    // reduce composition, monomorphised so the per-record cost is a
-    // branch and two adds instead of three dynamic dispatches. Fold
-    // order is unchanged — `(s, n)` accumulates left to right exactly
-    // as the tuple reducer does — so results stay bit-identical
-    // (`fused_kernels_match_generic_fold` pins this).
-    .with_slice_fold(move |slice: &[f64], _phys_half, acc| {
-        for &x in slice {
-            let h = (x.to_bits() % 2) as usize;
-            let m = match kind {
-                AggKind::Count => (1.0, 1.0),
-                AggKind::Sum | AggKind::Mean => (x, 1.0),
-            };
-            match &mut acc[h] {
-                Some(a) => *a = (a.0 + m.0, a.1 + m.1),
-                None => acc[h] = Some(m),
-            }
-        }
-    })
 }
 
 /// Deterministic fault injection for the serving path, extending the
@@ -1934,35 +1854,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_kernels_match_generic_fold() {
-        // Every fused slice kernel must reproduce the generic
-        // half-key/map/reduce composition bit for bit — on ordinary
-        // values, negatives, NaN and infinities alike.
-        let mut values: Vec<f64> = (0..997).map(|i| ((i * 37) % 101) as f64 - 17.5).collect();
-        values.extend([f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0]);
-        for kind in [AggKind::Count, AggKind::Sum, AggKind::Mean] {
-            let q = build_agg_query(kind);
-            let kernel = q.slice_fold().expect("agg queries carry a fused kernel");
-            for phys_half in [0, 1] {
-                let mut fused: [Option<(f64, f64)>; 2] = [None, None];
-                let mut generic: [Option<(f64, f64)>; 2] = [None, None];
-                kernel(&values, phys_half, &mut fused);
-                q.fold_run_generic(&values, phys_half, &mut generic);
-                for h in 0..2 {
-                    match (&fused[h], &generic[h]) {
-                        (Some(a), Some(b)) => {
-                            assert_eq!(a.0.to_bits(), b.0.to_bits(), "{kind:?} half {h} sum");
-                            assert_eq!(a.1.to_bits(), b.1.to_bits(), "{kind:?} half {h} count");
-                        }
-                        (None, None) => {}
-                        _ => panic!("{kind:?} half {h}: fused and generic occupancy differ"),
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn columnar_release_is_bit_identical_to_row_path() {
         let dir = temp_store("columnar_bits");
         {
@@ -2018,6 +1909,64 @@ mod tests {
         let again = col.release("cols", AggKind::Sum, "v", None, false).unwrap();
         assert!(again.cached);
         assert_eq!(again.prepare_us, None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn mixed_parity_columnar_release_is_bit_identical_to_row_path() {
+        // Values with random low mantissa bits land in both halves (a
+        // uniform draw's low bits are mostly zero), so the columnar
+        // path folds half 1 through the fused kernel as well; integer
+        // data has even parity and leaves that half empty.
+        use upa_stats::rng::{Rng, StdRng};
+        let dir = temp_store("columnar_parity");
+        let mut rng = StdRng::seed_from_u64(0x9a21);
+        let values: Vec<f64> = (0..20_000)
+            .map(|_| {
+                f64::from_bits(rng.gen_range(1.0..1e3f64).to_bits() ^ rng.gen_range(0..1u64 << 20))
+            })
+            .collect();
+        let odd = values.iter().filter(|x| x.to_bits() % 2 == 1).count();
+        assert!((5_000..15_000).contains(&odd), "{odd} odd of 20000");
+        upa_store::Store::open(&dir)
+            .unwrap()
+            .ingest(
+                "parity",
+                &[("v".to_string(), values)],
+                &IngestOptions {
+                    chunk_rows: 300,
+                    overwrite: true,
+                },
+            )
+            .unwrap();
+        let make = |columnar: bool| {
+            let state = ServerState::new(ServerConfig {
+                epsilon: 0.25,
+                sample_size: 64,
+                threads: 2,
+                store_path: Some(dir.clone()),
+                columnar,
+                ..ServerConfig::default()
+            })
+            .unwrap();
+            state.attach_dataset("parity").unwrap();
+            state
+        };
+        let (col, row) = (make(true), make(false));
+        for (kind, column) in [
+            (AggKind::Sum, "v"),
+            (AggKind::Mean, "v"),
+            (AggKind::Count, ""),
+        ] {
+            let a = col.release("parity", kind, column, None, true).unwrap();
+            let b = row.release("parity", kind, column, None, true).unwrap();
+            assert_eq!(
+                a.released.to_bits(),
+                b.released.to_bits(),
+                "{kind:?} release must not depend on the execution path"
+            );
+            assert!(!a.cached && !b.cached);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
